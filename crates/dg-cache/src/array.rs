@@ -196,6 +196,41 @@ impl<E, R: Replacer> TagArray<E, R> {
         way
     }
 
+    /// Prefetch hint: start loading `set`'s key lane and generation
+    /// stamp — what [`TagArray::find_keyed_cached`] reads first.
+    ///
+    /// Every `prefetch_*` method takes `&self` and only issues
+    /// [`dg_simd::prefetch`]: no entry, key, stamp, memo, counter or
+    /// replacement state changes, so hinting can change timing but
+    /// never a result.
+    #[inline]
+    pub fn prefetch_set(&self, set: usize) {
+        let ways = self.geom.ways();
+        prefetch_span(&self.keys[set * ways..(set + 1) * ways]);
+        dg_simd::prefetch(&self.gens[set]);
+    }
+
+    /// Prefetch hint: start loading the entry at `(set, way)` and its
+    /// replacement state.
+    #[inline]
+    pub fn prefetch_slot(&self, set: usize, way: usize) {
+        let slot = self.slot(set, way);
+        prefetch_span(&self.entries[slot..=slot]);
+        self.policy.prefetch(set, way);
+    }
+
+    /// Prefetch hint: [`TagArray::prefetch_slot`] on the lowest way of
+    /// `set` whose key lane holds `key` — the first candidate
+    /// [`TagArray::find_keyed`] would verify. Reads the key lane only.
+    #[inline]
+    pub fn prefetch_keyed(&self, set: usize, key: u64) {
+        let ways = self.geom.ways();
+        let mask = dg_simd::match_mask(&self.keys[set * ways..(set + 1) * ways], key);
+        if mask != 0 {
+            self.prefetch_slot(set, mask.trailing_zeros() as usize);
+        }
+    }
+
     /// Cached-scan counters: `(full scans run, scans skipped via memo)`.
     pub fn scan_counters(&self) -> (u64, u64) {
         (self.keyed_scans, self.keyed_scan_skips)
@@ -312,6 +347,18 @@ impl<E, R: Replacer> TagArray<E, R> {
         self.gens.iter_mut().for_each(|g| *g += 1);
         self.valid = 0;
     }
+}
+
+/// Prefetch every cache line `items` occupies. A span need not be
+/// line-aligned, so its last byte's line is hinted too.
+#[inline]
+fn prefetch_span<T>(items: &[T]) {
+    let start = items.as_ptr().cast::<u8>();
+    let bytes = std::mem::size_of_val(items);
+    for offset in (0..bytes).step_by(64) {
+        dg_simd::prefetch(start.wrapping_add(offset));
+    }
+    dg_simd::prefetch(start.wrapping_add(bytes.saturating_sub(1)));
 }
 
 #[cfg(test)]

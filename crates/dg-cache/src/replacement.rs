@@ -23,6 +23,11 @@ pub trait Replacer: Debug {
 
     /// Choose a victim way in a full `set`.
     fn victim(&mut self, set: usize) -> usize;
+
+    /// Prefetch hint: start loading the state a later `touch` or `fill`
+    /// of `(set, way)` will update. Must not change any state; the
+    /// default does nothing.
+    fn prefetch(&self, _set: usize, _way: usize) {}
 }
 
 /// Least-recently-used replacement (the paper's policy for every array).
@@ -61,6 +66,11 @@ impl Replacer for Lru {
         (0..self.ways)
             .min_by_key(|&w| self.last_use[base + w])
             .expect("non-zero associativity")
+    }
+
+    #[inline]
+    fn prefetch(&self, set: usize, way: usize) {
+        dg_simd::prefetch(&self.last_use[set * self.ways + way]);
     }
 }
 

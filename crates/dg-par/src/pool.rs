@@ -3,9 +3,9 @@
 //! The pool exists to run one *batch* of heterogeneous jobs — e.g.
 //! every (configuration × kernel) evaluation of a figure — across all
 //! available cores. It is not a long-lived executor: each [`Pool::run`]
-//! call spawns its workers inside a `std::thread::scope`, so jobs may
-//! borrow from the caller's stack, and everything is joined before the
-//! call returns.
+//! call spawns workers `1..workers` inside a `std::thread::scope` and
+//! runs worker 0 on the calling thread, so jobs may borrow from the
+//! caller's stack, and everything is joined before the call returns.
 //!
 //! Scheduling: jobs are dealt round-robin onto per-worker deques.
 //! A worker pops from the *front* of its own deque (submission order)
@@ -153,53 +153,52 @@ impl Pool {
         let remaining = &remaining;
         let steals = &steals;
 
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                scope.spawn(move || loop {
-                    if remaining.load(Ordering::Acquire) == 0 {
-                        return;
-                    }
-                    // Own work first, front of the deque.
-                    let job = queues[me].lock().unwrap().pop_front();
-                    let job = match job {
-                        Some(j) => Some(j),
-                        None => {
-                            // Steal from the back of the longest victim.
-                            let lens: Vec<usize> = (0..workers)
-                                .map(|w| {
-                                    if w == me {
-                                        0
-                                    } else {
-                                        queues[w].lock().unwrap().len()
-                                    }
-                                })
-                                .collect();
-                            steal_victim(me, &lens)
-                                .and_then(|w| queues[w].lock().unwrap().pop_back())
-                        }
-                    };
-                    let Some(job) = job else {
-                        // Nothing runnable right now; other workers may
-                        // still finish or repopulate nothing — just spin
-                        // gently until the batch drains.
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    if home[job.index] != me {
-                        steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let t0 = Instant::now();
-                    let span = dg_obs::span("par.job", me as u64);
-                    let outcome = catch_unwind(AssertUnwindSafe(job.run));
-                    drop(span);
-                    let dt = t0.elapsed();
-                    *slots[job.index].lock().unwrap() = match outcome {
-                        Ok(value) => Slot::Done(value, dt),
-                        Err(payload) => Slot::Panicked(payload),
-                    };
-                    remaining.fetch_sub(1, Ordering::Release);
-                });
+        // One worker's loop. It captures only shared references, so it
+        // is `Copy`: every thread runs its own copy.
+        let work = move |me: usize| loop {
+            if remaining.load(Ordering::Acquire) == 0 {
+                return;
             }
+            // Own work first, front of the deque.
+            let job = queues[me].lock().unwrap().pop_front();
+            let job = match job {
+                Some(j) => Some(j),
+                None => {
+                    // Steal from the back of the longest victim.
+                    let lens: Vec<usize> = (0..workers)
+                        .map(|w| if w == me { 0 } else { queues[w].lock().unwrap().len() })
+                        .collect();
+                    steal_victim(me, &lens).and_then(|w| queues[w].lock().unwrap().pop_back())
+                }
+            };
+            let Some(job) = job else {
+                // Nothing runnable right now; other workers may still
+                // finish or repopulate nothing — just spin gently until
+                // the batch drains.
+                std::thread::yield_now();
+                continue;
+            };
+            if home[job.index] != me {
+                steals.fetch_add(1, Ordering::Relaxed);
+            }
+            let t0 = Instant::now();
+            let span = dg_obs::span("par.job", me as u64);
+            let outcome = catch_unwind(AssertUnwindSafe(job.run));
+            drop(span);
+            let dt = t0.elapsed();
+            *slots[job.index].lock().unwrap() = match outcome {
+                Ok(value) => Slot::Done(value, dt),
+                Err(payload) => Slot::Panicked(payload),
+            };
+            remaining.fetch_sub(1, Ordering::Release);
+        };
+        // The calling thread runs worker 0 instead of idling in the
+        // join, so a batch spawns `workers - 1` threads.
+        std::thread::scope(|scope| {
+            for me in 1..workers {
+                scope.spawn(move || work(me));
+            }
+            work(0);
         });
 
         // Collect in submission order; re-raise the lowest-index panic.
@@ -295,6 +294,31 @@ mod tests {
         assert!(ids.iter().all(|id| *id == main_thread));
         assert_eq!(report.steals, 0);
         assert_eq!(report.workers, 1);
+    }
+
+    #[test]
+    fn calling_thread_works_as_worker_zero() {
+        // Every job holds its thread until a second job has started, so
+        // the first two jobs run on different threads: with two workers,
+        // one of them must be the caller.
+        let started = AtomicUsize::new(0);
+        let started = &started;
+        let pool = Pool::with_workers(2);
+        let caller = std::thread::current().id();
+        let jobs: Vec<_> = (0..64)
+            .map(|_| {
+                move || {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    while started.load(Ordering::SeqCst) < 2 {
+                        std::thread::yield_now();
+                    }
+                    std::thread::current().id()
+                }
+            })
+            .collect();
+        let (ids, report) = pool.run_report(jobs);
+        assert_eq!(report.workers, 2);
+        assert!(ids.contains(&caller), "the calling thread ran no job");
     }
 
     #[test]

@@ -100,33 +100,49 @@ impl Server {
 
     /// Serve a batch, returning responses in submission order.
     ///
-    /// Requests are partitioned by shard (preserving per-shard
-    /// submission order) and the non-empty partitions run as pool jobs.
-    /// With one worker the pool degrades to the inline serial path, so
-    /// the 1-thread run is the reference the parallel runs must match.
+    /// One counting sort partitions the requests by shard into a single
+    /// index array, `order`, each shard's run keeping submission
+    /// suborder. Each non-empty run is one pool job that serves it with
+    /// [`ShardState::apply_batch`], overlapping the misses of the
+    /// shard's lookups, and returns its responses in run order; one
+    /// scatter through `order` puts them back in submission order. With
+    /// one worker the pool degrades to the inline serial path, so the
+    /// 1-thread run is the reference the parallel runs must match.
     pub fn run_batch(&self, requests: &[Request]) -> Vec<Response> {
         let _batch_span = span("serve.batch", 0);
 
-        // Partition request indices by shard, preserving order.
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); self.cfg.shards];
-        for (i, req) in requests.iter().enumerate() {
-            buckets[self.shard_of(req.key())].push(i as u32);
+        // Shard `s`'s requests are `order[start[s]..start[s + 1]]`.
+        let mut start = vec![0usize; self.cfg.shards + 1];
+        let sids: Vec<usize> = requests
+            .iter()
+            .map(|req| {
+                let sid = self.shard_of(req.key());
+                start[sid + 1] += 1;
+                sid
+            })
+            .collect();
+        for s in 0..self.cfg.shards {
+            start[s + 1] += start[s];
+        }
+        let mut fill = start.clone();
+        let mut order = vec![0u32; requests.len()];
+        for (i, sid) in sids.into_iter().enumerate() {
+            order[fill[sid]] = i as u32;
+            fill[sid] += 1;
         }
 
-        let jobs: Vec<_> = buckets
-            .into_iter()
+        let jobs: Vec<_> = start
+            .windows(2)
             .enumerate()
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .map(|(sid, idxs)| {
+            .filter(|(_, w)| w[0] < w[1])
+            .map(|(sid, w)| {
+                let run = &order[w[0]..w[1]];
                 move || {
                     let _shard_span = span("serve.shard", sid as u64);
                     let metrics = enabled(Level::Metrics);
                     let t0 = metrics.then(Instant::now);
                     let mut shard = self.shards[sid].lock().unwrap();
-                    let out: Vec<(u32, Response)> = idxs
-                        .iter()
-                        .map(|&i| (i, shard.apply(requests[i as usize], &self.region)))
-                        .collect();
+                    let out = shard.apply_batch(requests, run, &self.region);
                     shard.batches += 1;
                     if let Some(t0) = t0 {
                         shard.batch_ns.record(t0.elapsed().as_nanos() as u64);
@@ -136,14 +152,13 @@ impl Server {
             })
             .collect();
 
-        let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
-        for chunk in self.pool.run(jobs) {
-            for (i, resp) in chunk {
-                debug_assert!(responses[i as usize].is_none(), "request {i} served twice");
-                responses[i as usize] = Some(resp);
-            }
+        // The jobs' outputs, concatenated in shard order, line up with
+        // `order`.
+        let mut responses = vec![Response::Miss; requests.len()];
+        for (&i, resp) in order.iter().zip(self.pool.run(jobs).into_iter().flatten()) {
+            responses[i as usize] = resp;
         }
-        responses.into_iter().map(|r| r.expect("every request served")).collect()
+        responses
     }
 
     /// Aggregate server-level counters across shards.

@@ -70,3 +70,53 @@ fn batch_equals_single_request_stream() {
     assert_eq!(from_batch, from_singles);
     assert_eq!(batched.stats(), singles.stats());
 }
+
+/// Everything a batch could change beyond its responses.
+fn observables(
+    server: &Server,
+) -> (dg_serve::ServeStats, Vec<dg_serve::ServeStats>, doppelganger::DoppStats, (usize, usize)) {
+    (server.stats(), server.shard_stats(), server.cache_stats(), server.residency())
+}
+
+#[test]
+fn batches_equal_singles_in_submission_order() {
+    // `run_batch` hints each shard's upcoming requests up to three
+    // prefetch distances (4 requests each) ahead; sizes straddle that
+    // window. An empty batch runs between every two batches.
+    const AHEAD: usize = 4;
+    let cfg = ServeConfig::small();
+    let mut query = SimilarityWorkload::new(WorkloadSpec::tier1().with_seed(11), &cfg);
+    let mut mixed = SimilarityWorkload::new(WorkloadSpec::tier1().with_seed(12), &cfg);
+    let mut adversarial =
+        SimilarityWorkload::new(WorkloadSpec::tier1_adversarial().with_seed(13), &cfg);
+    let router = server_with_workers(1);
+    let one_shard: Vec<Request> = adversarial
+        .batch_mixed(8192, 0.3)
+        .into_iter()
+        .filter(|r| router.shard_of(r.key()) == 0)
+        .collect();
+    let streams = [
+        ("query", query.batch(1536)),
+        ("mixed", mixed.batch_mixed(1536, 0.3)),
+        ("adversarial", adversarial.batch_mixed(1536, 0.3)),
+        ("one shard", one_shard),
+    ];
+    for (name, stream) in &streams {
+        for size in [1, 3 * AHEAD - 1, 3 * AHEAD + 1, stream.len()] {
+            for workers in [1, 2, 4] {
+                let batched = server_with_workers(workers);
+                let singles = server_with_workers(workers);
+                let mut from_batches = Vec::new();
+                for chunk in stream.chunks(size) {
+                    assert!(batched.run_batch(&[]).is_empty());
+                    from_batches.extend(batched.run_batch(chunk));
+                }
+                let from_singles: Vec<_> = stream.iter().map(|&r| singles.execute(r)).collect();
+                let what = format!("{name} stream, batches of {size}, {workers} workers");
+                assert_eq!(from_batches, from_singles, "{what}: responses");
+                assert_eq!(observables(&batched), observables(&singles), "{what}: state");
+                batched.check_invariants();
+            }
+        }
+    }
+}

@@ -414,6 +414,27 @@ pub fn copy64(dst: &mut [u8; 64], src: &[u8; 64]) {
 }
 
 // ----------------------------------------------------------------------
+// Software prefetch.
+// ----------------------------------------------------------------------
+
+/// Ask the CPU to start loading the cache line holding `ptr` into every
+/// cache level (`prefetcht0`). A hint only: it never faults, even on a
+/// dangling or null pointer, and has no effect on program state, so it
+/// is safe to issue for an address that will not be read after all.
+/// A no-op off x86_64.
+#[inline(always)]
+pub fn prefetch<T>(ptr: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `prefetcht0` is an SSE instruction (baseline on x86_64)
+    // that never dereferences architecturally and cannot fault.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(ptr.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
+}
+
+// ----------------------------------------------------------------------
 // x86_64 kernels.
 // ----------------------------------------------------------------------
 

@@ -44,7 +44,7 @@ mod system;
 pub use config::{LlcKind, SystemConfig};
 pub use energy::{llc_area_mm2, llc_energy, EnergyBreakdown, EnergyReport};
 pub use llc::{DisplacedBlock, Llc, LlcAccess, LlcCounters, LlcOutcome};
-pub use replay::{capture_trace, replay, replay_batched};
+pub use replay::{capture_trace, replay};
 pub use runner::{
     assert_baseline_exact, collect_snapshots, evaluate, evaluate_and_snapshots,
     evaluate_profiled, evaluate_with_golden, golden_output, run_on_system,

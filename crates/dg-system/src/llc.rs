@@ -251,40 +251,6 @@ impl Llc {
         }
     }
 
-    /// Prime a precomputed map hint for an annotated block about to be
-    /// inserted (the batched replay engine's pre-pass). The map is
-    /// computed through the active SIMD lane — the same deterministic
-    /// mapping the insert would run — and consumed only if the insert
-    /// sees the identical address and bytes. No-op for the baseline,
-    /// which never computes maps.
-    pub fn prime_map_hint(&mut self, addr: BlockAddr, block: &BlockData, region: &ApproxRegion) {
-        let doppel = match self {
-            Llc::Baseline(_) | Llc::Compressed(_) => return,
-            Llc::Split { doppel, .. } => doppel,
-            Llc::Unified(d) => d,
-        };
-        let map = doppel.config().map_space.map_block(block, region);
-        doppel.prime_map(addr, block, map);
-    }
-
-    /// Drop unconsumed map hints (end of a batch window).
-    pub fn clear_map_hints(&mut self) {
-        match self {
-            Llc::Baseline(_) | Llc::Compressed(_) => {}
-            Llc::Split { doppel, .. } => doppel.clear_map_hints(),
-            Llc::Unified(d) => d.clear_map_hints(),
-        }
-    }
-
-    /// Map-hint counters `(primed, consumed)` — observability only.
-    pub fn map_hint_counters(&self) -> (u64, u64) {
-        match self {
-            Llc::Baseline(_) | Llc::Compressed(_) => (0, 0),
-            Llc::Split { doppel, .. } => doppel.map_hint_counters(),
-            Llc::Unified(d) => d.map_hint_counters(),
-        }
-    }
-
     /// Whether `addr` is resident.
     pub fn contains(&self, addr: BlockAddr) -> bool {
         match self {

@@ -115,19 +115,6 @@ pub struct DoppelgangerCache {
     /// `map_generations` still counts the hardware's map computation.
     map_memo: Vec<Option<(BlockAddr, BlockData, MapValue)>>,
     memo_enabled: bool,
-    /// Map hints primed by the batched replay engine in `dg-system`:
-    /// `(addr, block contents, map)` triples whose maps were computed
-    /// ahead of time through the SIMD lane. `insert_approx_with`
-    /// consumes a hint only when both the address and the 64 block
-    /// bytes match, and mapping is deterministic, so a consumed hint is
-    /// bit-identical to the value the insert would have computed —
-    /// hints can skip a recomputation but never change behaviour.
-    map_hints: Vec<(BlockAddr, BlockData, MapValue)>,
-    /// Hint observability counters. Deliberately **not** part of
-    /// [`DoppStats`]: the lockstep oracle compares `DoppStats` field by
-    /// field, and hints are an engine artefact, not modelled hardware.
-    hints_primed: u64,
-    hints_consumed: u64,
     stats: DoppStats,
     data_policy: DataPolicy,
     /// Distribution of sharing-list length sampled each time a tag joins
@@ -151,9 +138,6 @@ impl DoppelgangerCache {
             data_mru: vec![0; data_geom.sets()],
             map_memo: vec![None; tag_geom.entries()],
             memo_enabled: true,
-            map_hints: Vec::new(),
-            hints_primed: 0,
-            hints_consumed: 0,
             stats: DoppStats::default(),
             data_policy: DataPolicy::default(),
             chain_hist: Hist64::new(),
@@ -168,41 +152,6 @@ impl DoppelgangerCache {
         if !enabled {
             self.map_memo.iter_mut().for_each(|m| *m = None);
         }
-    }
-
-    /// Prime a precomputed map for a block about to be inserted.
-    ///
-    /// Used by the batched replay engine: maps for a whole window of
-    /// independent misses are computed up front (through the SIMD
-    /// lane), then each insert consumes its hint instead of recomputing
-    /// the identical value. Unconsumed hints are dropped by
-    /// [`Self::clear_map_hints`] at the end of the window.
-    pub fn prime_map(&mut self, addr: BlockAddr, block: &BlockData, map: MapValue) {
-        self.map_hints.push((addr, *block, map));
-        self.hints_primed += 1;
-    }
-
-    /// Drop all unconsumed map hints (end of a batch window).
-    pub fn clear_map_hints(&mut self) {
-        self.map_hints.clear();
-    }
-
-    /// Hint counters `(primed, consumed)` — observability only.
-    pub fn map_hint_counters(&self) -> (u64, u64) {
-        (self.hints_primed, self.hints_consumed)
-    }
-
-    /// Consume the primed hint for `(addr, block)` if one matches both
-    /// the address and every block byte.
-    #[inline]
-    fn take_map_hint(&mut self, addr: BlockAddr, block: &BlockData) -> Option<MapValue> {
-        if self.map_hints.is_empty() {
-            return None;
-        }
-        let i = self.map_hints.iter().position(|(a, b, _)| *a == addr && b == block)?;
-        let (_, _, map) = self.map_hints.swap_remove(i);
-        self.hints_consumed += 1;
-        Some(map)
     }
 
     /// Select the data-array victim policy (default: LRU, the paper's
@@ -576,6 +525,50 @@ impl DoppelgangerCache {
         Some(self.data_at(did).data)
     }
 
+    /// Prefetch hint for a coming access to `addr`, one step of the
+    /// dependent tag → MTag → data chain (§3.2) per `stage`:
+    ///
+    /// * `0` — the tag set: its MRU-way slot, key lane and generation
+    ///   stamp, and the MRU way's entry;
+    /// * `1` — the tag entry the key lane matches (reads the key lane, so
+    ///   issue it once stage 0's lines have had time to arrive);
+    /// * `2` — a read-only tag locate, then the MTag/data set the tag's
+    ///   map indexes: its MRU-way slot, key lane and MRU way's entry (a
+    ///   precise tag's own data entry instead). Nothing for a non-resident
+    ///   `addr`.
+    ///
+    /// Any other stage is a no-op. A batch issues the stages at
+    /// decreasing distances ahead of the access, so the misses of many
+    /// independent lookups overlap. Hints take `&self` and only issue
+    /// [`dg_simd::prefetch`]: statistics, LRU state, MRU hints and the
+    /// scan memo are untouched, so hinting never changes a result.
+    pub fn prefetch(&self, addr: BlockAddr, stage: u8) {
+        let set = self.tag_geom.set_of(addr);
+        match stage {
+            0 => {
+                let mru = &self.tag_mru[set];
+                dg_simd::prefetch(mru);
+                self.tags.prefetch_set(set);
+                self.tags.prefetch_slot(set, *mru as usize);
+            }
+            1 => self.tags.prefetch_keyed(set, self.tag_geom.tag_of(addr)),
+            2 => match self.locate_tag(addr).map(|tid| self.tag_at(tid).kind) {
+                Some(TagKind::Approx(map)) => {
+                    let set = map.index(self.mtag_index_bits());
+                    let mru = &self.data_mru[set];
+                    dg_simd::prefetch(mru);
+                    self.data.prefetch_set(set);
+                    self.data.prefetch_slot(set, *mru as usize);
+                }
+                Some(TagKind::Precise(did)) => {
+                    self.data.prefetch_slot(did.set as usize, did.way as usize);
+                }
+                None => {}
+            },
+            _ => {}
+        }
+    }
+
     /// Look up `addr` (a read from the upper level, §3.2).
     ///
     /// On a hit returns the stored data — for approximate blocks, the
@@ -632,12 +625,7 @@ impl DoppelgangerCache {
         // Debug-only: the resident check would re-scan the tag set on
         // every insert, and the hierarchy inserts only after a miss.
         debug_assert!(!self.contains(addr), "insert of a resident block");
-        // A primed hint (batched replay) is the same deterministic
-        // mapping computed ahead of time; the hardware still computes
-        // one map per insert, so `map_generations` counts either way.
-        let map = self
-            .take_map_hint(addr, &block)
-            .unwrap_or_else(|| self.cfg.map_space.map_block(&block, region));
+        let map = self.cfg.map_space.map_block(&block, region);
         self.stats.map_generations += 1;
         self.stats.insertions += 1;
 
@@ -1422,40 +1410,57 @@ mod tests {
         assert!(c.invalidate(BlockAddr(1)).unwrap().dirty);
     }
 
+    /// One churn-stream operation on `c`, recorded for comparison.
+    /// Addresses divisible by 5 are precise; the rest approximate.
+    fn churn_step(c: &mut DoppelgangerCache, i: usize, addr: BlockAddr, r: &ApproxRegion) -> String {
+        let precise = addr.0.is_multiple_of(5);
+        let block = blk((i % 23) as f64 * 4.0);
+        if !c.contains(addr) {
+            let outcome =
+                if precise { c.insert_precise(addr, block) } else { c.insert_approx(addr, block, r) };
+            return format!("insert {outcome:?}");
+        }
+        match i % 4 {
+            0 => format!("invalidate {:?}", c.invalidate(addr)),
+            1 => format!("write {:?}", c.write(addr, block, (!precise).then_some(r))),
+            _ => format!("read {:?}", c.read(addr)),
+        }
+    }
+
     #[test]
-    fn primed_map_hints_are_consumed_and_behaviour_is_identical() {
+    fn prefetch_hints_never_change_behaviour() {
+        // Two caches replay one churn stream over 4x the tag capacity;
+        // before every operation one of them is hinted with every stage
+        // (and an out-of-range one) for the next 12 addresses, which
+        // are by then resident, absent, evicted or precise.
         let r = region();
-        let cfg = tiny_cfg();
-        let mut plain = DoppelgangerCache::new(cfg.clone());
+        let cfg = DoppelgangerConfig { unified: true, ..tiny_cfg() };
+        let mut plain = DoppelgangerCache::new(cfg);
         let mut hinted = DoppelgangerCache::new(cfg);
-
-        // Prime exact hints for two blocks, a byte-mismatched hint for a
-        // third, and leave a fourth unhinted.
-        let blocks =
-            [(BlockAddr(1), blk(10.0)), (BlockAddr(2), blk(10.003)), (BlockAddr(3), blk(55.0))];
-        for (addr, b) in &blocks[..2] {
-            let map = hinted.config().map_space.map_block(b, &r);
-            hinted.prime_map(*addr, b, map);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let addrs: Vec<BlockAddr> = (0..4000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                BlockAddr(x % 256)
+            })
+            .collect();
+        for (i, &addr) in addrs.iter().enumerate() {
+            for &next in addrs.iter().skip(i).take(12) {
+                for stage in 0..4 {
+                    hinted.prefetch(next, stage);
+                }
+            }
+            assert_eq!(churn_step(&mut plain, i, addr, &r), churn_step(&mut hinted, i, addr, &r), "op {i}");
         }
-        let wrong = hinted.config().map_space.map_block(&blk(99.0), &r);
-        hinted.prime_map(BlockAddr(3), &blk(99.0), wrong); // bytes won't match blk(55.0)
-
-        for (addr, b) in &blocks {
-            plain.insert_approx(*addr, *b, &r);
-            hinted.insert_approx(*addr, *b, &r);
-        }
-        hinted.clear_map_hints();
-        plain.insert_approx(BlockAddr(4), blk(7.0), &r);
-        hinted.insert_approx(BlockAddr(4), blk(7.0), &r);
-
-        assert_eq!(hinted.map_hint_counters(), (3, 2));
-        assert_eq!(plain.map_hint_counters(), (0, 0));
-        // Hardware-visible state and counters are identical.
+        assert!(plain.stats().data_evictions > 0 && plain.stats().precise_insertions > 0);
         assert_eq!(plain.stats(), hinted.stats());
-        for (addr, _) in &blocks {
-            assert_eq!(plain.peek(*addr), hinted.peek(*addr));
-        }
-        assert_eq!(plain.resident_data(), hinted.resident_data());
+        assert_eq!(plain.tags.scan_counters(), hinted.tags.scan_counters());
+        assert_eq!(plain.data.scan_counters(), hinted.data.scan_counters());
+        assert_eq!((&plain.tag_mru, &plain.data_mru), (&hinted.tag_mru, &hinted.data_mru));
+        assert!(plain.iter_blocks().eq(hinted.iter_blocks()));
+        plain.check_invariants();
         hinted.check_invariants();
     }
 }
